@@ -1,4 +1,4 @@
-.PHONY: check test bench bench-smoke bench-json trace replay-golden chaos top farm farm-soak farm-chaos load
+.PHONY: check test bench bench-smoke bench-json profile trace replay-golden chaos top farm farm-soak farm-chaos load
 
 # Tier-1 gate: gofmt, vet, build, full test suite, race tests on the
 # concurrency-heavy core and replay packages, golden-trace verification,
@@ -22,6 +22,16 @@ bench:
 # (BenchmarkDiplomatCall, BenchmarkDiplomatCallAllocs); also run by check.sh.
 bench-smoke:
 	go test -run='^$$' -bench='BenchmarkDiplomatCall' -benchtime=100x .
+
+# CPU and allocation profiles of BenchmarkReplay (the PassMark 2D golden
+# replay) in profiles/, which git ignores, followed by the top 10 of each.
+# Dig further with `go tool pprof profiles/cycada.test profiles/cpu.out`.
+profile:
+	mkdir -p profiles
+	go test -run='^$$' -bench='^BenchmarkReplay$$' -benchtime=20x -benchmem \
+		-o profiles/cycada.test -cpuprofile profiles/cpu.out -memprofile profiles/mem.out .
+	go tool pprof -top -nodecount=10 profiles/cycada.test profiles/cpu.out
+	go tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/cycada.test profiles/mem.out
 
 # Machine-readable benchmark dump: the tiled-rasterizer worker series
 # (BenchmarkRasterTiles/workers=1..8), the replay benchmarks, the batched

@@ -10,6 +10,7 @@ package stack
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"cycada/internal/android/egl"
@@ -139,6 +140,19 @@ func (s *System) NewUserspace(cfg UserConfig) (*Userspace, error) {
 	s.users = append(s.users, u)
 	s.mu.Unlock()
 	return u, nil
+}
+
+// Release ends one userspace when its process exits: pipelined presents are
+// drained and the presenter thread exited, the stack forgets the userspace,
+// and the kernel drops the process. A session that boots its own app on a
+// long-lived stack must release it, or the stack keeps every app it ever
+// ran reachable. Release charges no virtual time.
+func (s *System) Release(u *Userspace) {
+	u.EGL.DisablePipelinedPresents()
+	s.mu.Lock()
+	s.users = slices.DeleteFunc(s.users, func(x *Userspace) bool { return x == u })
+	s.mu.Unlock()
+	s.Kernel.ExitProcess(u.Proc)
 }
 
 // Shutdown tears the stack down for decommissioning: every userspace's

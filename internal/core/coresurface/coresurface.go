@@ -8,6 +8,7 @@ package coresurface
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"cycada/internal/android/gralloc"
@@ -21,14 +22,21 @@ type Module struct {
 
 	mu     sync.Mutex
 	nextID uint64
-	surfs  map[uint64]*gralloc.Buffer
+	surfs  map[uint64]surface
+}
+
+// surface is one live IOSurface: its backing GraphicBuffer and the PID of
+// the process that created it.
+type surface struct {
+	buf *gralloc.Buffer
+	pid int
 }
 
 // New creates the module; register it with
 // kernel.RegisterMachService(iokit.CoreSurfaceService, m) on the Cycada
 // kernel.
 func New() *Module {
-	return &Module{dev: gralloc.DevicePath, surfs: map[uint64]*gralloc.Buffer{}}
+	return &Module{dev: gralloc.DevicePath, surfs: map[uint64]surface{}}
 }
 
 // Buffer returns the GraphicBuffer backing a surface. Cycada's userspace
@@ -37,8 +45,8 @@ func New() *Module {
 func (m *Module) Buffer(id uint64) (*gralloc.Buffer, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.surfs[id]
-	return b, ok
+	s, ok := m.surfs[id]
+	return s.buf, ok
 }
 
 // Live reports live surfaces (leak tests).
@@ -46,6 +54,28 @@ func (m *Module) Live() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.surfs)
+}
+
+// ReleaseProcess drops every surface the process pid created and has not
+// released, and returns their backing GraphicBuffers for the caller to free
+// in gralloc. It is the module's share of process exit, so it makes no
+// syscall and charges no virtual time.
+func (m *Module) ReleaseProcess(pid int) []*gralloc.Buffer {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var ids []uint64
+	for id, s := range m.surfs {
+		if s.pid == pid {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	bufs := make([]*gralloc.Buffer, 0, len(ids))
+	for _, id := range ids {
+		bufs = append(bufs, m.surfs[id].buf)
+		delete(m.surfs, id)
+	}
+	return bufs
 }
 
 // MachCall implements kernel.MachService with the IOCoreSurface message set.
@@ -66,7 +96,7 @@ func (m *Module) MachCall(t *kernel.Thread, msgID uint32, body any) (any, error)
 		m.mu.Lock()
 		m.nextID++
 		id := m.nextID
-		m.surfs[id] = buf
+		m.surfs[id] = surface{buf: buf, pid: t.Process().PID()}
 		m.mu.Unlock()
 		return iokit.CreateReply{ID: id, Img: buf.Img}, nil
 
@@ -96,7 +126,7 @@ func (m *Module) MachCall(t *kernel.Thread, msgID uint32, body any) (any, error)
 			return nil, fmt.Errorf("LinuxCoreSurface: bad release body %T", body)
 		}
 		m.mu.Lock()
-		buf, ok := m.surfs[id]
+		s, ok := m.surfs[id]
 		if ok {
 			delete(m.surfs, id)
 		}
@@ -104,7 +134,7 @@ func (m *Module) MachCall(t *kernel.Thread, msgID uint32, body any) (any, error)
 		if !ok {
 			return nil, fmt.Errorf("LinuxCoreSurface: release of unknown surface %d", id)
 		}
-		if _, err := t.Ioctl(m.dev, gralloc.CmdFree, buf.ID); err != nil {
+		if _, err := t.Ioctl(m.dev, gralloc.CmdFree, s.buf.ID); err != nil {
 			return nil, fmt.Errorf("LinuxCoreSurface: freeing backing buffer: %w", err)
 		}
 		return nil, nil
@@ -121,9 +151,9 @@ func (m *Module) lookup(body any) (*gralloc.Buffer, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	buf, ok := m.surfs[id]
+	s, ok := m.surfs[id]
 	if !ok {
 		return nil, fmt.Errorf("LinuxCoreSurface: unknown surface %d", id)
 	}
-	return buf, nil
+	return s.buf, nil
 }

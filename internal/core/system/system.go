@@ -123,6 +123,7 @@ type IOSApp struct {
 	Profiler     *profile.Profiler
 	Impersonator *impersonate.Manager
 
+	host       *Cycada
 	snapUnregs []func()
 }
 
@@ -134,6 +135,21 @@ func (a *IOSApp) ReleaseSnapshotSources() {
 		unreg()
 	}
 	a.snapUnregs = nil
+}
+
+// Close ends the app when its session is over: it unregisters the
+// introspection sources, frees the GraphicBuffers behind the IOSurfaces the
+// app still holds, and releases its Android userspace and process
+// (stack.System.Release). Like process exit, it makes no syscall and
+// charges no virtual time. The app must not be used afterwards.
+func (a *IOSApp) Close() {
+	a.ReleaseSnapshotSources()
+	for _, buf := range a.host.CoreSurface.ReleaseProcess(a.Proc.PID()) {
+		// Cannot fail: the module frees a surface's buffer only after
+		// dropping the surface, so every buffer it returns is still live.
+		_ = a.host.Android.Gralloc.Free(buf.ID)
+	}
+	a.host.Android.Release(a.Android)
 }
 
 // Main returns the app's main thread.
@@ -273,6 +289,7 @@ func (c *Cycada) NewIOSApp(cfg AppConfig) (*IOSApp, error) {
 		Backend:      backend,
 		Profiler:     prof,
 		Impersonator: imp,
+		host:         c,
 	}
 	// The EAGL flush points (present, context switch, teardown) drain the
 	// command encoder so queued GLES work always lands before the display or

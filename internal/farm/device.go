@@ -307,7 +307,7 @@ func (d *Device) runBody(sys *system.Cycada, s *Session, res *Result) (err error
 		if err != nil {
 			return err
 		}
-		defer app.ReleaseSnapshotSources()
+		defer app.Close()
 		return harness.RunScenarioApp(app, s.spec.Scenario)
 	}
 }

@@ -47,15 +47,14 @@ type shaderObj struct {
 }
 
 type programObj struct {
-	id           uint32
-	vs, fs       *shaderObj
-	linked       *minislProgram
-	infoLog      string
-	ok           bool
-	attribs      map[string]int // name -> location
-	uniforms     map[string]int
-	uniformNames []string // location-indexed
-	values       map[int]uniformValue
+	id       uint32
+	vs, fs   *shaderObj
+	linked   *minislProgram
+	infoLog  string
+	ok       bool
+	attribs  map[string]int // name -> location
+	uniforms map[string]int // name -> location (minisl uniform slot)
+	values   map[int]uniformValue
 }
 
 type fenceObj struct {

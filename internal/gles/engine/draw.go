@@ -66,7 +66,9 @@ func (l *Lib) DrawElements(t *kernel.Thread, mode uint32, indices []uint16) {
 }
 
 // drawProgrammable runs the GLES 2 pipeline: vertex shader per vertex,
-// fragment shader per covered pixel.
+// fragment shader per covered pixel. Uniforms and attribute sources are
+// resolved into the program's slot order once per draw; the vertex stage
+// runs on one frame, and every raster tile gets a frame of its own.
 func (ctx *Context) drawProgrammable(t *kernel.Thread, mode uint32, first, count int, indices []int) {
 	prog := ctx.currentProgram()
 	if prog == nil || !prog.ok {
@@ -78,28 +80,43 @@ func (ctx *Context) drawProgrammable(t *kernel.Thread, mode uint32, first, count
 		ctx.setErr(InvalidFramebufferOperation)
 		return
 	}
+	linked := prog.linked
 	uniforms := ctx.buildUniforms(prog)
 
+	// Attribute locations are declaration indices (LinkProgram).
+	type attrSource struct {
+		on   bool
+		size int
+		data []float32
+	}
+	srcs := make([]attrSource, len(linked.VS.Attributes))
+	for loc := range srcs {
+		if a := ctx.attribSource(loc); a != nil && a.enabled {
+			srcs[loc] = attrSource{on: true, size: a.size, data: ctx.attribData(a)}
+		}
+	}
+	attrs := make([]minisl.Value, len(srcs))
+	nvary := len(linked.VaryNames)
+	varyBuf := make([]gpu.Vec4, count*nvary)
 	verts := make([]gpu.TVert, count)
-	attrVals := make(map[string]minisl.Value, len(prog.attribs))
+	vf := linked.NewFrame()
 	for i := 0; i < count; i++ {
 		vi := first + i
-		for name, loc := range prog.attribs {
-			a := ctx.attribSource(loc)
-			if a == nil || !a.enabled {
-				attrVals[name] = minisl.Vec(4, 0, 0, 0, 1)
+		for loc, a := range srcs {
+			if !a.on {
+				attrs[loc] = minisl.Vec(4, 0, 0, 0, 1)
 				continue
 			}
-			data := ctx.attribData(a)
 			base := vi * a.size
 			var comps [4]float32
 			comps[3] = 1
-			for c := 0; c < a.size && base+c < len(data); c++ {
-				comps[c] = data[base+c]
+			for c := 0; c < a.size && base+c < len(a.data); c++ {
+				comps[c] = a.data[base+c]
 			}
-			attrVals[name] = minisl.Vec(a.size, comps[:]...)
+			attrs[loc] = minisl.Vec(a.size, comps[:]...)
 		}
-		pos, vary, err := prog.linked.RunVertex(attrVals, uniforms)
+		vary := varyBuf[i*nvary : (i+1)*nvary : (i+1)*nvary]
+		pos, err := linked.RunVertex(vf, attrs, uniforms, vary)
 		if err != nil {
 			ctx.setErr(InvalidOperation)
 			return
@@ -107,12 +124,15 @@ func (ctx *Context) drawProgrammable(t *kernel.Thread, mode uint32, first, count
 		verts[i] = gpu.TVert{Pos: pos, Vary: vary}
 	}
 
-	frag := func(vary []gpu.Vec4) (gpu.Vec4, int) {
-		col, fetches, err := prog.linked.RunFragment(vary, uniforms)
-		if err != nil {
-			return gpu.Vec4{1, 0, 1, 1}, fetches // magenta = shader fault
+	shader := func() gpu.FragFn {
+		f := linked.NewFrame()
+		return func(vary []gpu.Vec4) (gpu.Vec4, int) {
+			col, fetches, err := linked.RunFragment(f, vary, uniforms)
+			if err != nil {
+				return gpu.Vec4{1, 0, 1, 1}, fetches // magenta = shader fault
+			}
+			return col, fetches
 		}
-		return col, fetches
 	}
 
 	// Rasterize on the kernel's bounded worker pool; tiles are merged
@@ -122,35 +142,26 @@ func (ctx *Context) drawProgrammable(t *kernel.Thread, mode uint32, first, count
 	var stats gpu.Stats
 	switch mode {
 	case Lines:
-		stats = gpu.DrawLines(tgt, verts, indices, frag, st)
+		stats = gpu.DrawLines(tgt, verts, indices, shader, st)
 	default:
-		stats = gpu.DrawTriangles(tgt, verts, expandMode(mode, indices), frag, st)
+		stats = gpu.DrawTriangles(tgt, verts, expandMode(mode, indices), shader, st)
 	}
 	ctx.chargeStats(t, stats, true)
 }
 
-// buildUniforms materializes the program's uniform values, resolving sampler
-// uniforms through the context's texture units.
-func (ctx *Context) buildUniforms(prog *programObj) map[string]minisl.Value {
-	samplerNames := map[string]bool{}
-	for _, d := range prog.vs.compiled.Uniforms {
-		if d.Type == "sampler2D" {
-			samplerNames[d.Name] = true
-		}
-	}
-	for _, d := range prog.fs.compiled.Uniforms {
-		if d.Type == "sampler2D" {
-			samplerNames[d.Name] = true
-		}
-	}
-	out := make(map[string]minisl.Value, len(prog.uniformNames))
-	for loc, name := range prog.uniformNames {
+// buildUniforms materializes the program's uniform values in its uniform
+// slot order (which is also the location order), resolving sampler uniforms
+// through the context's texture units. An unset uniform reads as its type's
+// zero.
+func (ctx *Context) buildUniforms(prog *programObj) []minisl.Value {
+	decls := prog.linked.Uniforms
+	out := make([]minisl.Value, len(decls))
+	for loc, d := range decls {
 		v, ok := prog.values[loc]
-		if !ok {
-			continue
-		}
 		switch {
-		case samplerNames[name]:
+		case !ok:
+			out[loc] = minisl.Zero(d.Type)
+		case d.Type == "sampler2D":
 			unit := v.i
 			var tex *textureObj
 			if unit >= 0 && unit < len(ctx.boundTex) {
@@ -160,16 +171,16 @@ func (ctx *Context) buildUniforms(prog *programObj) map[string]minisl.Value {
 				tex = ctx.lookupTexture(id)
 			}
 			if tex != nil && tex.img != nil {
-				out[name] = minisl.Sampler(&gpu.Texture{Img: tex.img, Repeat: tex.repeat})
+				out[loc] = minisl.Sampler(&gpu.Texture{Img: tex.img, Repeat: tex.repeat})
 			} else {
-				out[name] = minisl.Sampler(nil)
+				out[loc] = minisl.Sampler(nil)
 			}
 		case v.mat != nil:
-			out[name] = minisl.Mat(*v.mat)
+			out[loc] = minisl.Mat(*v.mat)
 		case v.n == 0:
-			out[name] = minisl.Float(float32(v.i))
+			out[loc] = minisl.Float(float32(v.i))
 		default:
-			out[name] = minisl.Vec(v.n, v.f[:]...)
+			out[loc] = minisl.Vec(v.n, v.f[:]...)
 		}
 	}
 	return out

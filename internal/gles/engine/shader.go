@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sort"
-
 	"cycada/internal/sim/gpu"
 	"cycada/internal/sim/gpu/minisl"
 	"cycada/internal/sim/kernel"
@@ -214,22 +212,9 @@ func (l *Lib) LinkProgram(t *kernel.Thread, prog uint32) {
 	for i, d := range p.vs.compiled.Attributes {
 		p.attribs[d.Name] = i
 	}
-	names := map[string]bool{}
-	for _, d := range p.vs.compiled.Uniforms {
-		names[d.Name] = true
-	}
-	for _, d := range p.fs.compiled.Uniforms {
-		names[d.Name] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
 	p.uniforms = map[string]int{}
-	p.uniformNames = sorted
-	for i, n := range sorted {
-		p.uniforms[n] = i
+	for i, d := range linked.Uniforms {
+		p.uniforms[d.Name] = i
 	}
 	t.ChargeCPU(t.Costs().ShaderLinkBase + vclock.Duration(linked.Tokens)*t.Costs().ShaderCompileTok)
 }
@@ -404,7 +389,7 @@ func (l *Lib) setUniform(t *kernel.Thread, loc int, v uniformValue) {
 		ctx.setErr(InvalidOperation)
 		return
 	}
-	if loc < 0 || loc >= len(p.uniformNames) {
+	if loc < 0 || loc >= len(p.uniforms) {
 		ctx.setErr(InvalidValue)
 		return
 	}

@@ -91,7 +91,7 @@ func Play(tr *Trace, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer p.app.ReleaseSnapshotSources()
+	defer p.app.Close()
 	if opts.System != nil && opts.Faults != nil {
 		// On a caller-owned stack the injector must not outlive the replay.
 		defer opts.System.Android.Kernel.SetFaultInjector(nil)

@@ -2,14 +2,14 @@ package minisl
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"cycada/internal/sim/gpu"
 )
 
 // Value is a runtime MiniSL value: a scalar/vector (width 1-4), a matrix,
-// or a sampler reference.
+// or a sampler reference. Matrices are shared, never written through M:
+// every matrix-producing operation makes a new one.
 type Value struct {
 	Width   int // 1..4 for float/vecN; 0 for mat4 and samplers
 	V       gpu.Vec4
@@ -43,12 +43,18 @@ func (v Value) Vec4() gpu.Vec4 {
 	return out
 }
 
-// Program is a linked vertex+fragment shader pair.
+// Program is a linked vertex+fragment shader pair, lowered to slot-resolved
+// code (see compile.go).
 type Program struct {
 	VS, FS    *Shader
 	VaryNames []string // sorted; defines the varying slot order
-	varySlots map[string]int
-	Tokens    int
+	// Uniforms lists the uniforms of both stages once each, sorted by name.
+	// It defines the uniform slot order: draws pass uniform values as a
+	// slice indexed like it.
+	Uniforms []Decl
+	Tokens   int
+
+	vs, fs *code
 }
 
 // LinkError is a GLES-style link failure.
@@ -57,7 +63,8 @@ type LinkError struct{ Msg string }
 func (e *LinkError) Error() string { return "link error: " + e.Msg }
 
 // Link validates that every varying the fragment shader reads is written by
-// the vertex shader and assigns varying slots.
+// the vertex shader and that the stages agree on uniform types, assigns
+// varying and uniform slots, and lowers both stages to slot-resolved code.
 func Link(vs, fs *Shader) (*Program, error) {
 	if vs == nil || fs == nil {
 		return nil, &LinkError{Msg: "missing shader"}
@@ -83,18 +90,85 @@ func Link(vs, fs *Shader) (*Program, error) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	slots := make(map[string]int, len(names))
-	for i, n := range names {
-		slots[n] = i
+
+	utype := map[string]string{}
+	var uniforms []Decl
+	for _, d := range append(append([]Decl(nil), vs.Uniforms...), fs.Uniforms...) {
+		typ, seen := utype[d.Name]
+		if !seen {
+			utype[d.Name] = d.Type
+			uniforms = append(uniforms, d)
+		} else if typ != d.Type {
+			return nil, &LinkError{Msg: "uniform " + d.Name + " type mismatch"}
+		}
 	}
-	return &Program{VS: vs, FS: fs, VaryNames: names, varySlots: slots, Tokens: vs.Tokens + fs.Tokens}, nil
+	sort.Slice(uniforms, func(i, j int) bool { return uniforms[i].Name < uniforms[j].Name })
+
+	p := &Program{VS: vs, FS: fs, VaryNames: names, Uniforms: uniforms, Tokens: vs.Tokens + fs.Tokens}
+	p.vs = lowerStage(vs, p.vertexInputs(), "gl_Position")
+	p.fs = lowerStage(fs, p.fragmentInputs(), "gl_FragColor")
+	p.vs.varyOut = make([]int, len(names))
+	for i, n := range names {
+		p.vs.varyOut[i] = p.vs.slots[n]
+	}
+	return p, nil
 }
 
-// env is an execution environment for one shader invocation.
-type env struct {
-	vars     map[string]Value
-	fetches  int
-	maxSteps int
+// uniformIndex returns name's slot in p.Uniforms.
+func (p *Program) uniformIndex(name string) int {
+	return sort.Search(len(p.Uniforms), func(i int) bool { return p.Uniforms[i].Name >= name })
+}
+
+// vertexInputs lists what a vertex invocation starts with, in the order the
+// values are written: attributes, uniforms, varyings (zero), gl_Position.
+// When one name appears twice, the later source wins.
+func (p *Program) vertexInputs() []input {
+	var in []input
+	for i, d := range p.VS.Attributes {
+		in = append(in, input{name: d.Name, src: srcAttribute, idx: i, zero: Zero(d.Type)})
+	}
+	for _, d := range p.VS.Uniforms {
+		in = append(in, input{name: d.Name, src: srcUniform, idx: p.uniformIndex(d.Name), zero: Zero(d.Type)})
+	}
+	for _, d := range p.VS.Varyings {
+		in = append(in, input{name: d.Name, src: srcConst, zero: Zero(d.Type)})
+	}
+	return append(in, input{name: "gl_Position", src: srcConst, zero: Vec(4)})
+}
+
+// fragmentInputs lists what a fragment invocation starts with: every
+// varying the vertex stage declares (typed as there), the fragment
+// uniforms, gl_FragColor.
+func (p *Program) fragmentInputs() []input {
+	var in []input
+	for i, n := range p.VaryNames {
+		d := declOf(p.VS.Varyings, n)
+		in = append(in, input{name: n, src: srcVarying, idx: i, width: widthOf(d.Type), zero: Zero(d.Type)})
+	}
+	for _, d := range p.FS.Uniforms {
+		in = append(in, input{name: d.Name, src: srcUniform, idx: p.uniformIndex(d.Name), zero: Zero(d.Type)})
+	}
+	return append(in, input{name: "gl_FragColor", src: srcConst, zero: Vec(4)})
+}
+
+// Frame is the working memory of one shader invocation: a Value slot for
+// every input, local and intermediate result the program names, plus the
+// step budget and fetch count. Running a stage overwrites the frame, so one
+// frame serves any number of invocations one after another but never two
+// at once: the rasterizer gives each tile its own.
+type Frame struct {
+	slots   []Value
+	def     []bool // per local: declared yet in this invocation
+	steps   int
+	fetches int
+}
+
+// NewFrame makes a frame sized for both of p's stages.
+func (p *Program) NewFrame() *Frame {
+	return &Frame{
+		slots: make([]Value, max(p.vs.nslots, p.fs.nslots)),
+		def:   make([]bool, max(p.vs.nlocals, p.fs.nlocals)),
+	}
 }
 
 type evalError struct {
@@ -106,62 +180,32 @@ func (e *evalError) Error() string { return fmt.Sprintf("runtime: line %d: %s", 
 
 const defaultMaxSteps = 100000
 
-// RunVertex executes the vertex shader for one vertex. attribs and uniforms
-// are keyed by declaration name. It returns the clip-space position and the
-// varying values in slot order.
-func (p *Program) RunVertex(attribs, uniforms map[string]Value) (gpu.Vec4, []gpu.Vec4, error) {
-	e := &env{vars: make(map[string]Value, 8+len(attribs)+len(uniforms)), maxSteps: defaultMaxSteps}
-	for _, d := range p.VS.Attributes {
-		if v, ok := attribs[d.Name]; ok {
-			e.vars[d.Name] = v
-		} else {
-			e.vars[d.Name] = zeroOf(d.Type)
-		}
+// RunVertex executes the vertex shader for one vertex on frame f.
+// attribs holds one value per p.VS.Attributes entry and uniforms one per
+// p.Uniforms entry; a missing trailing entry reads as the declared type's
+// zero. The varyings are written to vary in p.VaryNames order, so vary
+// must hold len(p.VaryNames) entries. It returns the clip-space position.
+func (p *Program) RunVertex(f *Frame, attribs, uniforms []Value, vary []gpu.Vec4) (gpu.Vec4, error) {
+	c := p.vs
+	if err := c.run(f, attribs, uniforms, nil); err != nil {
+		return gpu.Vec4{}, err
 	}
-	loadUniforms(e, p.VS.Uniforms, uniforms)
-	for _, d := range p.VS.Varyings {
-		e.vars[d.Name] = zeroOf(d.Type)
+	for i, s := range c.varyOut {
+		vary[i] = f.slots[s].V
 	}
-	e.vars["gl_Position"] = Vec(4)
-	if err := e.runBlock(p.VS.body); err != nil {
-		return gpu.Vec4{}, nil, err
-	}
-	vary := make([]gpu.Vec4, len(p.VaryNames))
-	for i, n := range p.VaryNames {
-		vary[i] = e.vars[n].V
-	}
-	return e.vars["gl_Position"].V, vary, nil
+	return f.slots[c.out].V, nil
 }
 
-// RunFragment executes the fragment shader for one fragment with varyings in
-// slot order. It returns gl_FragColor and the texture fetch count.
-func (p *Program) RunFragment(vary []gpu.Vec4, uniforms map[string]Value) (gpu.Vec4, int, error) {
-	e := &env{vars: make(map[string]Value, 8+len(uniforms)), maxSteps: defaultMaxSteps}
-	for i, n := range p.VaryNames {
-		d := declOf(p.VS.Varyings, n)
-		w := widthOf(d.Type)
-		if i < len(vary) {
-			e.vars[n] = Value{Width: w, V: vary[i]}
-		} else {
-			e.vars[n] = zeroOf(d.Type)
-		}
-	}
-	loadUniforms(e, p.FS.Uniforms, uniforms)
-	e.vars["gl_FragColor"] = Vec(4)
-	if err := e.runBlock(p.FS.body); err != nil {
+// RunFragment executes the fragment shader for one fragment on frame f,
+// with varyings in p.VaryNames order and uniforms in p.Uniforms order. It
+// returns gl_FragColor and the texture fetch count; a failed invocation
+// reports no fetches.
+func (p *Program) RunFragment(f *Frame, vary []gpu.Vec4, uniforms []Value) (gpu.Vec4, int, error) {
+	c := p.fs
+	if err := c.run(f, nil, uniforms, vary); err != nil {
 		return gpu.Vec4{}, 0, err
 	}
-	return e.vars["gl_FragColor"].V, e.fetches, nil
-}
-
-func loadUniforms(e *env, decls []Decl, uniforms map[string]Value) {
-	for _, d := range decls {
-		if v, ok := uniforms[d.Name]; ok {
-			e.vars[d.Name] = v
-		} else {
-			e.vars[d.Name] = zeroOf(d.Type)
-		}
-	}
+	return f.slots[c.out].V, f.fetches, nil
 }
 
 func declOf(ds []Decl, name string) Decl {
@@ -186,353 +230,21 @@ func widthOf(typ string) int {
 	}
 }
 
-func zeroOf(typ string) Value {
+// identity backs every default mat4; matrices are never written in place,
+// so one copy serves all of them.
+var identity = gpu.Identity()
+
+// Zero is the value a variable of type typ holds before anything is
+// assigned to it: zero for scalars and vectors, the identity for mat4, an
+// unbound sampler for sampler2D. It is also what an unset uniform reads as.
+func Zero(typ string) Value {
 	switch typ {
 	case "mat4":
-		return Mat(gpu.Identity())
+		return Value{M: &identity}
 	case "sampler2D":
 		return Value{}
 	default:
 		return Value{Width: widthOf(typ)}
-	}
-}
-
-func (e *env) runBlock(body []stmt) error {
-	for _, s := range body {
-		if err := e.runStmt(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *env) runStmt(s stmt) error {
-	if e.maxSteps--; e.maxSteps <= 0 {
-		return &evalError{msg: "shader exceeded step limit"}
-	}
-	switch st := s.(type) {
-	case declStmt:
-		v := zeroOf(st.typ)
-		if st.init != nil {
-			iv, err := e.eval(st.init)
-			if err != nil {
-				return err
-			}
-			v = coerce(iv, st.typ)
-		}
-		e.vars[st.name] = v
-		return nil
-	case assignStmt:
-		v, err := e.eval(st.val)
-		if err != nil {
-			return err
-		}
-		cur, ok := e.vars[st.name]
-		if !ok {
-			return &evalError{line: st.line, msg: "assignment to undeclared " + st.name}
-		}
-		if st.swizzle == "" {
-			if cur.M != nil && v.M == nil {
-				return &evalError{line: st.line, msg: "cannot assign scalar to matrix " + st.name}
-			}
-			if cur.Width > 0 {
-				v = coerceWidth(v, cur.Width)
-			}
-			e.vars[st.name] = v
-			return nil
-		}
-		if len(st.swizzle) != 1 {
-			return &evalError{line: st.line, msg: "only single-component swizzle writes supported"}
-		}
-		idx := swizzleIndex(rune(st.swizzle[0]))
-		cur.V[idx] = v.V[0]
-		e.vars[st.name] = cur
-		return nil
-	case ifStmt:
-		c, err := e.eval(st.cond)
-		if err != nil {
-			return err
-		}
-		if c.V[0] != 0 {
-			return e.runBlock(st.then)
-		}
-		return e.runBlock(st.els)
-	case forStmt:
-		if err := e.runStmt(st.init); err != nil {
-			return err
-		}
-		for {
-			c, err := e.eval(st.cond)
-			if err != nil {
-				return err
-			}
-			if c.V[0] == 0 {
-				return nil
-			}
-			if err := e.runBlock(st.body); err != nil {
-				return err
-			}
-			if err := e.runStmt(st.post); err != nil {
-				return err
-			}
-			if e.maxSteps <= 0 {
-				return &evalError{msg: "shader loop exceeded step limit"}
-			}
-		}
-	default:
-		return &evalError{msg: fmt.Sprintf("unknown statement %T", s)}
-	}
-}
-
-func (e *env) eval(x expr) (Value, error) {
-	switch ex := x.(type) {
-	case numExpr:
-		return Float(ex.v), nil
-	case varExpr:
-		v, ok := e.vars[ex.name]
-		if !ok {
-			return Value{}, &evalError{line: ex.line, msg: "undefined variable " + ex.name}
-		}
-		return v, nil
-	case swizzleExpr:
-		base, err := e.eval(ex.base)
-		if err != nil {
-			return Value{}, err
-		}
-		var out gpu.Vec4
-		for i, c := range ex.sw {
-			out[i] = base.V[swizzleIndex(c)]
-		}
-		return Value{Width: len(ex.sw), V: out}, nil
-	case unaryExpr:
-		v, err := e.eval(ex.x)
-		if err != nil {
-			return Value{}, err
-		}
-		switch ex.op {
-		case "-":
-			return Value{Width: v.Width, V: v.V.Scale(-1)}, nil
-		case "!":
-			if v.V[0] == 0 {
-				return Float(1), nil
-			}
-			return Float(0), nil
-		}
-		return Value{}, &evalError{msg: "unknown unary " + ex.op}
-	case binExpr:
-		return e.evalBin(ex)
-	case callExpr:
-		return e.evalCall(ex)
-	default:
-		return Value{}, &evalError{msg: fmt.Sprintf("unknown expression %T", x)}
-	}
-}
-
-func (e *env) evalBin(ex binExpr) (Value, error) {
-	l, err := e.eval(ex.l)
-	if err != nil {
-		return Value{}, err
-	}
-	r, err := e.eval(ex.r)
-	if err != nil {
-		return Value{}, err
-	}
-	switch ex.op {
-	case "<", ">", "<=", ">=", "==", "!=":
-		a, b := l.V[0], r.V[0]
-		res := false
-		switch ex.op {
-		case "<":
-			res = a < b
-		case ">":
-			res = a > b
-		case "<=":
-			res = a <= b
-		case ">=":
-			res = a >= b
-		case "==":
-			res = a == b
-		case "!=":
-			res = a != b
-		}
-		if res {
-			return Float(1), nil
-		}
-		return Float(0), nil
-	}
-	// Matrix forms.
-	if l.M != nil || r.M != nil {
-		if ex.op != "*" {
-			return Value{}, &evalError{line: ex.line, msg: "matrices support only *"}
-		}
-		switch {
-		case l.M != nil && r.M != nil:
-			return Mat(l.M.MulMat(*r.M)), nil
-		case l.M != nil:
-			return Value{Width: 4, V: l.M.MulVec(r.Vec4())}, nil
-		default:
-			return Value{}, &evalError{line: ex.line, msg: "vec*mat not supported; use mat*vec"}
-		}
-	}
-	// Scalar broadcast.
-	lw, rw := l.Width, r.Width
-	w := lw
-	if rw > w {
-		w = rw
-	}
-	lv, rv := broadcast(l, w), broadcast(r, w)
-	var out gpu.Vec4
-	switch ex.op {
-	case "+":
-		out = lv.Add(rv)
-	case "-":
-		out = lv.Sub(rv)
-	case "*":
-		out = lv.Mul(rv)
-	case "/":
-		for i := 0; i < 4; i++ {
-			if rv[i] != 0 {
-				out[i] = lv[i] / rv[i]
-			}
-		}
-	default:
-		return Value{}, &evalError{line: ex.line, msg: "unknown operator " + ex.op}
-	}
-	return Value{Width: w, V: out}, nil
-}
-
-func (e *env) evalCall(ex callExpr) (Value, error) {
-	args := make([]Value, len(ex.args))
-	for i, a := range ex.args {
-		v, err := e.eval(a)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
-	}
-	bad := func(msg string) (Value, error) {
-		return Value{}, &evalError{line: ex.line, msg: ex.fn + ": " + msg}
-	}
-	switch ex.fn {
-	case "vec2", "vec3", "vec4":
-		w := int(ex.fn[3] - '0')
-		var comps []float32
-		for _, a := range args {
-			aw := a.Width
-			if aw == 0 {
-				aw = 1
-			}
-			// A single scalar argument splats (vec4(1.0)).
-			if len(args) == 1 && aw == 1 {
-				for i := 0; i < w; i++ {
-					comps = append(comps, a.V[0])
-				}
-				break
-			}
-			for i := 0; i < aw && len(comps) < w; i++ {
-				comps = append(comps, a.V[i])
-			}
-		}
-		if len(comps) < w {
-			return bad(fmt.Sprintf("needs %d components, got %d", w, len(comps)))
-		}
-		return Vec(w, comps...), nil
-	case "texture2D":
-		if len(args) != 2 {
-			return bad("needs (sampler, vec2)")
-		}
-		e.fetches++
-		c := args[0].Sampler.Sample(args[1].V[0], args[1].V[1])
-		return Value{Width: 4, V: c}, nil
-	case "clamp":
-		if len(args) != 3 {
-			return bad("needs 3 args")
-		}
-		var out gpu.Vec4
-		for i := 0; i < 4; i++ {
-			out[i] = minf(maxf(args[0].V[i], args[1].V[0]), args[2].V[0])
-		}
-		return Value{Width: args[0].Width, V: out}, nil
-	case "min", "max", "pow":
-		if len(args) != 2 {
-			return bad("needs 2 args")
-		}
-		w := args[0].Width
-		a, b := broadcast(args[0], w), broadcast(args[1], w)
-		var out gpu.Vec4
-		for i := 0; i < 4; i++ {
-			switch ex.fn {
-			case "min":
-				out[i] = minf(a[i], b[i])
-			case "max":
-				out[i] = maxf(a[i], b[i])
-			case "pow":
-				out[i] = float32(math.Pow(float64(a[i]), float64(b[i])))
-			}
-		}
-		return Value{Width: w, V: out}, nil
-	case "dot":
-		if len(args) != 2 {
-			return bad("needs 2 args")
-		}
-		var s float32
-		for i := 0; i < args[0].Width; i++ {
-			s += args[0].V[i] * args[1].V[i]
-		}
-		return Float(s), nil
-	case "mix":
-		if len(args) != 3 {
-			return bad("needs 3 args")
-		}
-		t := args[2].V[0]
-		w := args[0].Width
-		out := args[0].V.Scale(1 - t).Add(broadcast(args[1], w).Scale(t))
-		return Value{Width: w, V: out}, nil
-	case "fract", "floor", "abs", "sin", "cos":
-		if len(args) != 1 {
-			return bad("needs 1 arg")
-		}
-		var out gpu.Vec4
-		for i := 0; i < 4; i++ {
-			f := float64(args[0].V[i])
-			switch ex.fn {
-			case "fract":
-				out[i] = float32(f - math.Floor(f))
-			case "floor":
-				out[i] = float32(math.Floor(f))
-			case "abs":
-				out[i] = float32(math.Abs(f))
-			case "sin":
-				out[i] = float32(math.Sin(f))
-			case "cos":
-				out[i] = float32(math.Cos(f))
-			}
-		}
-		return Value{Width: args[0].Width, V: out}, nil
-	case "length":
-		if len(args) != 1 {
-			return bad("needs 1 arg")
-		}
-		var s float64
-		for i := 0; i < args[0].Width; i++ {
-			s += float64(args[0].V[i]) * float64(args[0].V[i])
-		}
-		return Float(float32(math.Sqrt(s))), nil
-	case "normalize":
-		if len(args) != 1 {
-			return bad("needs 1 arg")
-		}
-		var s float64
-		for i := 0; i < args[0].Width; i++ {
-			s += float64(args[0].V[i]) * float64(args[0].V[i])
-		}
-		n := float32(math.Sqrt(s))
-		if n == 0 {
-			return args[0], nil
-		}
-		return Value{Width: args[0].Width, V: args[0].V.Scale(1 / n)}, nil
-	default:
-		return bad("unknown function")
 	}
 }
 

@@ -2,11 +2,13 @@
 // for the simulated GPU's programmable (GLES 2) pipeline.
 //
 // The real system hands shader source to a closed vendor compiler inside
-// libGLESv2; the simulation compiles a GLSL subset to an AST and interprets
-// it per vertex and per fragment. This keeps glCompileShader/glLinkProgram
-// genuinely expensive (proportional to token count — visible as the
-// glLinkProgram spike in Figure 9) and makes shader-based paths such as
-// Cycada's presentRenderbuffer blit do real per-pixel work.
+// libGLESv2; the simulation compiles a GLSL subset to an AST, and Link
+// resolves every name to a fixed slot and lowers each stage once to Go
+// closures that run per vertex and per fragment over a reusable Frame
+// (compile.go). This keeps glCompileShader/glLinkProgram charged in
+// proportion to token count (the glLinkProgram spike in Figure 9) and makes
+// shader-based paths such as Cycada's presentRenderbuffer blit do real
+// per-pixel work, without a heap allocation per pixel.
 //
 // Supported subset: global declarations with the attribute / uniform /
 // varying qualifiers; types float, vec2, vec3, vec4, mat4, sampler2D;

@@ -107,12 +107,18 @@ func TestLinkValidatesVaryings(t *testing.T) {
 	if _, err := Link(nil, fs); err == nil {
 		t.Fatal("link succeeded with nil shader")
 	}
+	// Uniforms share one slot per name, so the stages must agree on type.
+	vs3 := compile(t, "uniform vec4 u_c; void main(){gl_Position = u_c;}", Vertex)
+	fs3 := compile(t, "uniform float u_c; void main(){gl_FragColor = vec4(u_c);}", Fragment)
+	if _, err := Link(vs3, fs3); err == nil || !strings.Contains(err.Error(), "uniform u_c type mismatch") {
+		t.Fatalf("link of mismatched uniform types: err = %v", err)
+	}
 }
 
 func TestVertexShaderTransforms(t *testing.T) {
 	p := link(t)
 	mvp := gpu.Identity().Translate(1, 0, 0)
-	pos, vary, err := p.RunVertex(
+	pos, vary, err := runVert(p,
 		map[string]Value{
 			"a_position": Vec(4, 0.5, 0, 0, 1),
 			"a_texcoord": Vec(2, 0.25, 0.75),
@@ -134,7 +140,7 @@ func TestFragmentShaderSamplesTexture(t *testing.T) {
 	p := link(t)
 	img := gpu.NewImage(2, 2)
 	img.Fill(gpu.RGBA{G: 255, A: 255})
-	col, fetches, err := p.RunFragment(
+	col, fetches, err := runFrag(p,
 		[]gpu.Vec4{{0.5, 0.5, 0, 0}},
 		map[string]Value{
 			"u_tex":   Sampler(&gpu.Texture{Img: img}),
@@ -172,14 +178,14 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, _, err := p.RunFragment(nil, map[string]Value{"u_n": Float(4)})
+	col, _, err := runFrag(p, nil, map[string]Value{"u_n": Float(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(float64(col[0]-0.5)) > 1e-5 || col[1] != 1 {
 		t.Fatalf("color = %v, want (0.5, 1, 0, 1)", col)
 	}
-	col, _, err = p.RunFragment(nil, map[string]Value{"u_n": Float(2)})
+	col, _, err = runFrag(p, nil, map[string]Value{"u_n": Float(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +209,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.RunFragment(nil, nil); err == nil {
+	if _, _, err := runFrag(p, nil, nil); err == nil {
 		t.Fatal("runaway loop did not abort")
 	}
 }
@@ -217,7 +223,7 @@ func TestBuiltins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		col, _, err := p.RunFragment(nil, uniforms)
+		col, _, err := runFrag(p, nil, uniforms)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +269,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, _, err := p.RunFragment(nil, nil)
+	col, _, err := runFrag(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +295,7 @@ func TestRuntimeErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := p.RunFragment(nil, nil); err == nil {
+		if _, _, err := runFrag(p, nil, nil); err == nil {
 			t.Errorf("no runtime error for %q", src)
 		}
 	}
@@ -311,7 +317,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, _, err := p.RunFragment(nil, nil)
+	col, _, err := runFrag(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

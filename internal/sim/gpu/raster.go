@@ -82,11 +82,21 @@ type TVert struct {
 }
 
 // FragFn shades one fragment from interpolated varyings, returning the
-// color and the number of texture fetches it performed. Tiled rasterization
-// invokes the fragment function from multiple goroutines concurrently, so it
-// must not mutate shared state (the engine's shader evaluators are pure:
-// each invocation builds its own environment).
+// color and the number of texture fetches it performed. A FragFn is only
+// ever called by one goroutine at a time, so it may keep scratch state
+// between calls.
 type FragFn func(vary []Vec4) (Vec4, int)
+
+// FragShader makes the fragment function for one unit of raster work. Tiled
+// rasterization calls it once per tile, on the worker that renders the
+// tile, and tiles render concurrently: each FragFn it returns must own its
+// scratch state (the engine gives each one its own MiniSL frame) and share
+// nothing mutable with the others.
+type FragShader func() FragFn
+
+// Stateless adapts a FragFn that keeps no state between calls, so one
+// function value can serve every tile at once.
+func Stateless(frag FragFn) FragShader { return func() FragFn { return frag } }
 
 // Texture is a sampleable image.
 type Texture struct {
@@ -180,12 +190,13 @@ func topLeft(dx, dy float32) bool {
 // default is the only comparison workloads can observe).
 //
 // Rasterization is tiled: triangles are binned into TileSize-square tiles
-// and tiles render concurrently on st.Pool. Tiles own disjoint pixels, so
-// the output is byte-identical for any worker count.
-func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragFn, st RenderState) Stats {
+// and tiles render concurrently on st.Pool, each shading with its own FragFn
+// from shader. Tiles own disjoint pixels, so the output is byte-identical
+// for any worker count.
+func DrawTriangles(dst *Target, verts []TVert, indices []int, shader FragShader, st RenderState) Stats {
 	var stats Stats
 	stats.Vertices = len(verts)
-	if dst == nil || dst.Color == nil || frag == nil {
+	if dst == nil || dst.Color == nil || shader == nil {
 		return stats
 	}
 	vp := st.Viewport
@@ -286,7 +297,7 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragFn, st Re
 	st.Pool.Run(len(work), func(i int) {
 		id := work[i]
 		x0, y0, x1, y1 := grid.bounds(id)
-		rasterTile(img, depth, tris, bins[id], x0, y0, x1-1, y1-1, maxVary, frag, st.Blend, &tileStats[i])
+		rasterTile(img, depth, tris, bins[id], x0, y0, x1-1, y1-1, maxVary, shader(), st.Blend, &tileStats[i])
 	})
 	for i := range tileStats {
 		stats.Add(tileStats[i])
@@ -295,8 +306,9 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, frag FragFn, st Re
 }
 
 // rasterTile rasterizes one tile's binned triangles into the inclusive pixel
-// rectangle [tx0,tx1] x [ty0,ty1]. It touches only pixels inside the tile,
-// so concurrent calls on distinct tiles never write the same memory.
+// rectangle [tx0,tx1] x [ty0,ty1] with the tile's own fragment function. It
+// touches only pixels inside the tile, so concurrent calls on distinct tiles
+// never write the same memory.
 func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, tx1, ty1, maxVary int, frag FragFn, mode BlendMode, out *Stats) {
 	vary := make([]Vec4, maxVary)
 	for _, ti := range bin {
@@ -404,10 +416,10 @@ func clipBounds(img *Image, st RenderState) (x0, y0, x1, y1 int) {
 // modes (overwrite, alpha, additive), with Blended counted accordingly.
 // Line rasterization is serial — segments may revisit pixels, so they are
 // not tile-disjoint — but draws are cheap relative to triangle fills.
-func DrawLines(dst *Target, verts []TVert, indices []int, frag FragFn, st RenderState) Stats {
+func DrawLines(dst *Target, verts []TVert, indices []int, shader FragShader, st RenderState) Stats {
 	var stats Stats
 	stats.Vertices = len(verts)
-	if dst == nil || dst.Color == nil || frag == nil {
+	if dst == nil || dst.Color == nil || shader == nil {
 		return stats
 	}
 	vp := st.Viewport
@@ -425,6 +437,7 @@ func DrawLines(dst *Target, verts []TVert, indices []int, frag FragFn, st Render
 		nvary = len(verts[0].Vary)
 	}
 	vary := make([]Vec4, nvary)
+	frag := shader()
 	for i := 0; i+1 < len(indices); i += 2 {
 		va := toScreen(verts[indices[i]], vp)
 		vb := toScreen(verts[indices[i+1]], vp)

@@ -191,22 +191,37 @@ func scene(n int, nvary int) ([]TVert, []int) {
 	return verts, idx
 }
 
+// scratchFrag keeps per-tile scratch state between fragments, as the
+// engine's MiniSL frames do; a FragFn shared between tiles would race on it.
+func scratchFrag() FragFn {
+	scratch := make([]Vec4, 1)
+	return func(vary []Vec4) (Vec4, int) {
+		scratch[0] = vary[0].Scale(0.5)
+		return scratch[0], 1
+	}
+}
+
 // The tiled rasterizer must produce byte-identical images and identical
 // stats for every worker count, including dimensions that are not tile
-// multiples.
+// multiples, for stateless and per-tile stateful fragment shaders alike.
 func TestWorkerCountDeterminism(t *testing.T) {
 	verts, idx := scene(60, 1)
-	for _, blendDepth := range []RenderState{
-		{Blend: BlendAlpha},
-		{Blend: BlendAdditive, DepthTest: true},
+	for _, tc := range []struct {
+		shader     FragShader
+		blendDepth RenderState
+	}{
+		{colorFrag, RenderState{Blend: BlendAlpha}},
+		{colorFrag, RenderState{Blend: BlendAdditive, DepthTest: true}},
+		{scratchFrag, RenderState{Blend: BlendAlpha, DepthTest: true}},
 	} {
+		blendDepth := tc.blendDepth
 		var wantSum uint32
 		var wantStats Stats
 		for i, workers := range []int{1, 2, 4, 8} {
 			im := NewImage(257, 131) // 5x3 tiles with ragged edges
 			st := blendDepth
 			st.Pool = NewPool(workers)
-			stats := DrawTriangles(NewTarget(im), verts, idx, colorFrag, st)
+			stats := DrawTriangles(NewTarget(im), verts, idx, tc.shader, st)
 			if i == 0 {
 				wantSum, wantStats = im.Checksum(), stats
 				continue
@@ -220,7 +235,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 		}
 		// The nil pool (fully serial path) must agree too.
 		im := NewImage(257, 131)
-		if DrawTriangles(NewTarget(im), verts, idx, colorFrag, blendDepth); im.Checksum() != wantSum {
+		if DrawTriangles(NewTarget(im), verts, idx, tc.shader, blendDepth); im.Checksum() != wantSum {
 			t.Fatalf("blend=%d: serial render diverged from pooled render", blendDepth.Blend)
 		}
 	}

@@ -62,6 +62,17 @@ func (k *Kernel) NewProcess(name string, personas ...Persona) (*Process, error) 
 	return proc, nil
 }
 
+// ExitProcess removes an exited process from the kernel's process table.
+// The process's threads must no longer run. Exit charges no virtual time:
+// process teardown is outside the cost model.
+func (k *Kernel) ExitProcess(p *Process) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.procs[p.pid] == p {
+		delete(k.procs, p.pid)
+	}
+}
+
 // PID returns the process ID.
 func (p *Process) PID() int { return p.pid }
 

@@ -52,6 +52,12 @@ go run ./cmd/cycadareplay replay -i internal/replay/testdata/passmark-3d.cytr \
 echo "== farm smoke (2 devices x 8 sessions, per-session checksums vs recordings)"
 go run ./cmd/cycadafarm -devices 2 -sessions 8 -trace internal/replay/testdata/passmark-2d.cytr -verify
 
+echo "== fuzz smoke (MiniSL: arbitrary shader source through compile, link and one run of each stage)"
+# Shader text is untrusted input: it must fail with an error, never a panic
+# or a hang. Minimization is capped at 100 runs per input: the default 60s
+# minimizer is what makes a short fuzz run look stalled at 0 execs/sec.
+go test -run='^$' -fuzz='^FuzzCompile$' -fuzztime=10s -fuzzminimizetime=100x ./internal/sim/gpu/minisl
+
 echo "== bench smoke (diplomat hot path)"
 go test -run='^$' -bench='BenchmarkDiplomatCall' -benchtime=100x .
 
