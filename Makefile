@@ -23,12 +23,13 @@ bench:
 bench-smoke:
 	go test -run='^$$' -bench='BenchmarkDiplomatCall' -benchtime=100x .
 
-# CPU and allocation profiles of BenchmarkReplay (the PassMark 2D golden
-# replay) in profiles/, which git ignores, followed by the top 10 of each.
-# Dig further with `go tool pprof profiles/cycada.test profiles/cpu.out`.
+# CPU and allocation profiles of BenchmarkReplayGolden (the benchmark's
+# golden-replay op: all three golden traces in turn, a fresh stack per op,
+# Verify on) in profiles/, which git ignores, followed by the top 10 of
+# each. Dig further with `go tool pprof profiles/cycada.test profiles/cpu.out`.
 profile:
 	mkdir -p profiles
-	go test -run='^$$' -bench='^BenchmarkReplay$$' -benchtime=20x -benchmem \
+	go test -run='^$$' -bench='^BenchmarkReplayGolden$$' -benchtime=60x -benchmem \
 		-o profiles/cycada.test -cpuprofile profiles/cpu.out -memprofile profiles/mem.out .
 	go tool pprof -top -nodecount=10 profiles/cycada.test profiles/cpu.out
 	go tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/cycada.test profiles/mem.out

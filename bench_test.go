@@ -7,6 +7,7 @@ package cycada
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -547,6 +548,40 @@ func BenchmarkReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(tr.Events)*b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// BenchmarkReplayGolden is the golden-replay op of the repository
+// benchmark (perfbench): op i decodes golden trace i mod 3 from its bytes,
+// boots a fresh stack with system.New and replays the trace onto it with
+// Verify on. It covers what BenchmarkReplay does not: the tint shader and
+// the depth-tested draws of passmark-3d and the WebKit tiles. `make
+// profile` profiles it.
+func BenchmarkReplayGolden(b *testing.B) {
+	var data [][]byte
+	for _, name := range []string{"passmark-2d", "passmark-3d", "webkit-tiles"} {
+		raw, err := os.ReadFile(filepath.Join("internal", "replay", "testdata", name+".cytr"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		data = append(data, raw)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := replay.Decode(data[i%len(data)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys := system.New(system.Config{ScreenW: tr.ScreenW, ScreenH: tr.ScreenH})
+		res, err := replay.Play(tr, replay.Options{Verify: true, System: sys})
+		sys.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.VerifyOK() {
+			b.Fatal(res.VerifyError())
+		}
+	}
 }
 
 // BenchmarkReplayLoad drives the sustained-load generator at fixed

@@ -18,7 +18,11 @@
 // functions (250 distinct standard + 94 extension), matching Table 2's total.
 package registry
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"sync"
+)
 
 // Extension is one GLES extension and the entry points it adds. Khronos-only
 // filler extensions carry only a function count (their entry points are never
@@ -395,14 +399,22 @@ func CountFuncs(exts []Extension) int {
 // IOSSurface returns every function an iOS app can call on the iOS GLES
 // library: the 250 distinct standard functions plus the 94 iOS extension
 // entry points — the 344 functions of Table 2.
-func IOSSurface() []string {
-	return merged(StandardUnion(), ExtFuncs(IOSExtensions()))
-}
+func IOSSurface() []string { return slices.Clone(iosSurface()) }
 
 // AndroidSurface returns every function the Tegra library exports.
-func AndroidSurface() []string {
-	return merged(StandardUnion(), ExtFuncs(AndroidExtensions()))
-}
+func AndroidSurface() []string { return slices.Clone(androidSurface()) }
+
+// The surfaces derive from constant tables, so each is merged and sorted
+// once per process; the exported functions hand out clones, which callers
+// may modify. Every stack boot reads them.
+var (
+	iosSurface = sync.OnceValue(func() []string {
+		return merged(StandardUnion(), ExtFuncs(IOSExtensions()))
+	})
+	androidSurface = sync.OnceValue(func() []string {
+		return merged(StandardUnion(), ExtFuncs(AndroidExtensions()))
+	})
+)
 
 // ExtensionNames returns the sorted names of a set of extensions.
 func ExtensionNames(exts []Extension) []string {

@@ -78,6 +78,9 @@ func Encode(tr *Trace) ([]byte, error) {
 				e.intern(s)
 			}
 		}
+		if s, ok := ev.Ret.(string); ok {
+			e.intern(s)
+		}
 	}
 
 	var body bytes.Buffer
@@ -253,6 +256,23 @@ func (e *encoder) value(a any) error {
 	return nil
 }
 
+// Decoder bounds. A trace file is untrusted input: every count and size in
+// it is checked against these and against the bytes left before anything is
+// allocated for it, so a corrupt file fails with an error instead of a panic
+// or an allocation it cannot back.
+const (
+	// maxFramePixels bounds the screen and the final frame (w*h).
+	maxFramePixels = 1 << 26
+	// maxBody bounds the inflated body: room for the largest final frame
+	// the decoder accepts and as much again of events.
+	maxBody = 2 * 4 * maxFramePixels
+	// maxEvents bounds the event count whatever the body's size.
+	maxEvents = 1 << 24
+	// minEventBytes is the smallest encoded event: kind, tid, name, arg
+	// count, return tag and flags, one byte each.
+	minEventBytes = 6
+)
+
 // Decode parses a trace produced by Encode.
 func Decode(data []byte) (*Trace, error) {
 	if len(data) < len(traceMagic) || string(data[:len(traceMagic)]) != traceMagic {
@@ -266,23 +286,34 @@ func Decode(data []byte) (*Trace, error) {
 	if version != traceVersion {
 		return nil, fmt.Errorf("replay: trace version %d, want %d", version, traceVersion)
 	}
-	body, err := io.ReadAll(flate.NewReader(bytes.NewReader(rest[n:])))
+	body, err := inflate(rest[n:], maxBody)
 	if err != nil {
-		return nil, fmt.Errorf("replay: decompress: %w", err)
+		return nil, err
 	}
 	d := &decoder{r: bytes.NewReader(body)}
 	tr := &Trace{}
 	tr.Label = d.rawStr()
-	tr.ScreenW = int(d.uvarint())
-	tr.ScreenH = int(d.uvarint())
+	w, h := d.uvarint(), d.uvarint()
 	nstr := d.uvarint()
+	if d.err != nil {
+		return nil, fmt.Errorf("replay: corrupt trace: %w", d.err)
+	}
+	if tr.ScreenW, tr.ScreenH, err = frameSize(w, h); err != nil {
+		return nil, fmt.Errorf("replay: screen: %w", err)
+	}
+	// Every string takes at least its length byte.
+	if nstr > uint64(d.r.Len()) {
+		return nil, fmt.Errorf("replay: implausible string count %d", nstr)
+	}
 	d.strs = make([]string, 0, nstr)
-	for i := uint64(0); i < nstr; i++ {
+	for i := uint64(0); i < nstr && d.err == nil; i++ {
 		d.strs = append(d.strs, d.rawStr())
 	}
 	nev := d.uvarint()
-	const maxEvents = 1 << 24 // sanity bound against corrupt headers
-	if nev > maxEvents {
+	if d.err != nil {
+		return nil, fmt.Errorf("replay: corrupt trace: %w", d.err)
+	}
+	if nev > maxEvents || nev > uint64(d.r.Len()/minEventBytes) {
 		return nil, fmt.Errorf("replay: implausible event count %d", nev)
 	}
 	tr.Events = make([]Event, 0, nev)
@@ -294,12 +325,18 @@ func Decode(data []byte) (*Trace, error) {
 		tr.Events = append(tr.Events, ev)
 	}
 	if d.byteVal() == 1 {
-		w := int(d.uvarint())
-		h := int(d.uvarint())
-		if w <= 0 || h <= 0 || w*h > 1<<26 {
-			return nil, fmt.Errorf("replay: implausible final frame %dx%d", w, h)
+		w, h := d.uvarint(), d.uvarint()
+		if d.err != nil {
+			return nil, fmt.Errorf("replay: corrupt trace: %w", d.err)
 		}
-		img := gpu.NewImage(w, h)
+		fw, fh, err := frameSize(w, h)
+		if err != nil {
+			return nil, fmt.Errorf("replay: final frame: %w", err)
+		}
+		if 4*fw*fh > d.r.Len() {
+			return nil, fmt.Errorf("replay: final frame pixels: %w", io.ErrUnexpectedEOF)
+		}
+		img := gpu.NewImage(fw, fh)
 		if _, err := io.ReadFull(d.r, img.Pix); err != nil {
 			return nil, fmt.Errorf("replay: final frame pixels: %w", err)
 		}
@@ -309,6 +346,27 @@ func Decode(data []byte) (*Trace, error) {
 		return nil, fmt.Errorf("replay: corrupt trace: %w", d.err)
 	}
 	return tr, nil
+}
+
+// inflate decompresses a trace body of at most limit bytes.
+func inflate(compressed []byte, limit int64) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(compressed)), limit+1))
+	if err != nil {
+		return nil, fmt.Errorf("replay: decompress: %w", err)
+	}
+	if int64(len(body)) > limit {
+		return nil, fmt.Errorf("replay: decompress: body exceeds %d bytes", limit)
+	}
+	return body, nil
+}
+
+// frameSize checks a w x h frame size read from a trace: both sides
+// positive and at most maxFramePixels pixels in all.
+func frameSize(w, h uint64) (int, int, error) {
+	if w == 0 || h == 0 || w > maxFramePixels || h > maxFramePixels || w*h > maxFramePixels {
+		return 0, 0, fmt.Errorf("implausible size %dx%d", w, h)
+	}
+	return int(w), int(h), nil
 }
 
 type decoder struct {

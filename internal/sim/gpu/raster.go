@@ -306,11 +306,21 @@ func DrawTriangles(dst *Target, verts []TVert, indices []int, shader FragShader,
 }
 
 // rasterTile rasterizes one tile's binned triangles into the inclusive pixel
-// rectangle [tx0,tx1] x [ty0,ty1] with the tile's own fragment function. It
-// touches only pixels inside the tile, so concurrent calls on distinct tiles
-// never write the same memory.
+// rectangle [tx0,tx1] x [ty0,ty1] with the tile's own fragment function and
+// stores the tile's Stats in *out once, at the end. It touches only pixels
+// inside the tile, so concurrent calls on distinct tiles never write the
+// same memory.
+//
+// The loop computes exactly the bits of the straightforward per-fragment
+// formulas (DESIGN.md §17): each edge function, depth and varying component
+// is evaluated with the same operations in the same order; only values that
+// do not change along a row or within a triangle are hoisted. Varyings are
+// interpolated per component as (a*w0 + b*w1) + c*w2 with every product
+// rounded to float32 before it is added, so no build may fuse them.
 func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, tx1, ty1, maxVary int, frag FragFn, mode BlendMode, out *Stats) {
 	vary := make([]Vec4, maxVary)
+	pix, stride := img.Pix, img.W
+	frags, fetches := 0, 0
 	for _, ti := range bin {
 		tr := &tris[ti]
 		minX, minY, maxX, maxY := tr.minX, tr.minY, tr.maxX, tr.maxY
@@ -326,66 +336,86 @@ func rasterTile(img *Image, depth []float32, tris []tri, bin []int32, tx0, ty0, 
 		if maxY > ty1 {
 			maxY = ty1
 		}
-		nvary := len(tr.a.vary)
+		ax, ay, az := tr.a.x, tr.a.y, tr.a.z
+		bx, by, bz := tr.b.x, tr.b.y, tr.b.z
+		cx, cy, cz := tr.c.x, tr.c.y, tr.c.z
+		inv := tr.inv
+		tl0, tl1, tl2 := tr.tl0, tr.tl1, tr.tl2
+		fv := vary[:len(tr.a.vary)]
+		va, vb, vc := tr.a.vary[:len(fv)], tr.b.vary[:len(fv)], tr.c.vary[:len(fv)]
 		for y := minY; y <= maxY; y++ {
 			py := float32(y) + 0.5
+			ayp, byp, cyp := ay-py, by-py, cy-py
+			row := y * stride
 			for x := minX; x <= maxX; x++ {
 				px := float32(x) + 0.5
 				// Edge functions: eN > 0 strictly inside; eN == 0 exactly on
 				// the edge, accepted only when the edge is top-left.
-				e0 := (tr.b.x-px)*(tr.c.y-py) - (tr.b.y-py)*(tr.c.x-px)
-				if e0 < 0 || (e0 == 0 && !tr.tl0) {
+				e0 := (bx-px)*cyp - byp*(cx-px)
+				if e0 < 0 || (e0 == 0 && !tl0) {
 					continue
 				}
-				e1 := (tr.c.x-px)*(tr.a.y-py) - (tr.c.y-py)*(tr.a.x-px)
-				if e1 < 0 || (e1 == 0 && !tr.tl1) {
+				e1 := (cx-px)*ayp - cyp*(ax-px)
+				if e1 < 0 || (e1 == 0 && !tl1) {
 					continue
 				}
-				e2 := (tr.a.x-px)*(tr.b.y-py) - (tr.a.y-py)*(tr.b.x-px)
-				if e2 < 0 || (e2 == 0 && !tr.tl2) {
+				e2 := (ax-px)*byp - ayp*(bx-px)
+				if e2 < 0 || (e2 == 0 && !tl2) {
 					continue
 				}
-				w0, w1, w2 := e0*tr.inv, e1*tr.inv, e2*tr.inv
+				w0, w1, w2 := e0*inv, e1*inv, e2*inv
 				if depth != nil {
-					z := w0*tr.a.z + w1*tr.b.z + w2*tr.c.z
-					di := y*img.W + x
+					z := w0*az + w1*bz + w2*cz
 					// GL_LESS: the incoming fragment wins only when strictly
 					// nearer than the stored sample.
-					if z >= depth[di] {
+					if z >= depth[row+x] {
 						continue
 					}
-					depth[di] = z
+					depth[row+x] = z
 				}
-				for vi := 0; vi < nvary; vi++ {
-					vary[vi] = tr.a.vary[vi].Scale(w0).Add(tr.b.vary[vi].Scale(w1)).Add(tr.c.vary[vi].Scale(w2))
+				for i := range fv {
+					a, b, c := &va[i], &vb[i], &vc[i]
+					fv[i] = Vec4{
+						float32(a[0]*w0) + float32(b[0]*w1) + float32(c[0]*w2),
+						float32(a[1]*w0) + float32(b[1]*w1) + float32(c[1]*w2),
+						float32(a[2]*w0) + float32(b[2]*w1) + float32(c[2]*w2),
+						float32(a[3]*w0) + float32(b[3]*w1) + float32(c[3]*w2),
+					}
 				}
-				col, fetches := frag(vary[:nvary])
-				out.TexFetches += fetches
-				out.ShaderEvals++
-				writeFragment(img, x, y, FromVec(col), mode, out)
-				out.Pixels++
+				col, n := frag(fv)
+				fetches += n
+				frags++
+				p := 4 * (row + x)
+				writeFragment(pix[p:p+4:p+4], FromVec(col), mode)
 			}
 		}
 	}
+	// Every shaded fragment is written and, unless the mode overwrites,
+	// blended: one count serves Pixels, ShaderEvals and Blended.
+	*out = Stats{Pixels: frags, TexFetches: fetches, ShaderEvals: frags, Blended: blended(mode, frags)}
 }
 
 // writeFragment is the blend back end shared by the triangle and line
-// rasterizers.
-func writeFragment(img *Image, x, y int, src RGBA, mode BlendMode, out *Stats) {
+// rasterizers: it writes src into the 4-byte RGBA pixel dst.
+func writeFragment(dst []byte, src RGBA, mode BlendMode) {
 	switch mode {
 	case BlendAlpha:
-		img.Set(x, y, blend(src, img.At(x, y)))
-		out.Blended++
+		c := blend(src, RGBA{dst[0], dst[1], dst[2], dst[3]})
+		dst[0], dst[1], dst[2], dst[3] = c.R, c.G, c.B, c.A
 	case BlendAdditive:
-		d := img.At(x, y)
-		img.Set(x, y, RGBA{
-			R: addSat(src.R, d.R), G: addSat(src.G, d.G),
-			B: addSat(src.B, d.B), A: addSat(src.A, d.A),
-		})
-		out.Blended++
+		dst[0], dst[1], dst[2], dst[3] = addSat(src.R, dst[0]), addSat(src.G, dst[1]), addSat(src.B, dst[2]), addSat(src.A, dst[3])
 	default:
-		img.Set(x, y, src)
+		dst[0], dst[1], dst[2], dst[3] = src.R, src.G, src.B, src.A
 	}
+}
+
+// blended reports how many of n written fragments went through the blend
+// unit under mode.
+func blended(mode BlendMode, n int) int {
+	if mode == BlendAlpha || mode == BlendAdditive {
+		return n
+	}
+	return 0
 }
 
 // clipBounds intersects the image rectangle with the scissor rectangle and
@@ -462,10 +492,12 @@ func DrawLines(dst *Target, verts []TVert, indices []int, shader FragShader, st 
 			col, fetches := frag(vary)
 			stats.TexFetches += fetches
 			stats.ShaderEvals++
-			writeFragment(img, x, y, FromVec(col), st.Blend, &stats)
+			p := 4 * (y*img.W + x)
+			writeFragment(img.Pix[p:p+4:p+4], FromVec(col), st.Blend)
 			stats.Pixels++
 		}
 	}
+	stats.Blended = blended(st.Blend, stats.Pixels)
 	return stats
 }
 

@@ -58,6 +58,12 @@ echo "== fuzz smoke (MiniSL: arbitrary shader source through compile, link and o
 # minimizer is what makes a short fuzz run look stalled at 0 execs/sec.
 go test -run='^$' -fuzz='^FuzzCompile$' -fuzztime=10s -fuzzminimizetime=100x ./internal/sim/gpu/minisl
 
+echo "== fuzz smoke (CYTR: arbitrary trace files through decode and an encode/decode round trip)"
+# Trace files are untrusted input too: Decode must return an error, never
+# panic or allocate what the file cannot back, and whatever it accepts must
+# survive encode -> decode -> encode unchanged.
+go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=10s -fuzzminimizetime=100x ./internal/replay
+
 echo "== bench smoke (diplomat hot path)"
 go test -run='^$' -bench='BenchmarkDiplomatCall' -benchtime=100x .
 
