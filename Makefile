@@ -40,10 +40,8 @@ profile:
 # with crossings and batched-call counts), and the farm throughput grid
 # (BenchmarkFarm/d{N}s{M}), plus the farm resilience series
 # (BenchmarkFarmResilience/fail{0,5,20}, throughput and frame P95 under
-# injected failure with retries), and the sustained-load series
-# (BenchmarkReplayLoad/k{1,4,16}, sessions/sec with frame P95/P99 and
-# drops), written to BENCH_10.json with the host core count so scaling
-# numbers are interpretable. The series is then diffed against the most
+# injected failure with retries), written to BENCH_10.json with the host
+# core count so scaling numbers are interpretable. The series is then diffed against the most
 # recent previous BENCH_*.json (warn-only, ±15%).
 bench-json:
 	./scripts/benchjson.sh BENCH_10.json
@@ -71,11 +69,11 @@ farm:
 	go run ./cmd/cycadafarm -devices 2 -sessions 8 \
 		-trace internal/replay/testdata/passmark-2d.cytr -verify
 
-# Sustained-load demo with live telemetry: 4 concurrent session loops
-# replaying the PassMark 2D golden trace for 15s, with /metrics, /healthz,
-# /snapshot, and /events served on :9090 — scrape with `cycadatop -connect
-# http://127.0.0.1:9090` from another terminal while it runs. Override with
-# LOAD_N/LOAD_DUR/LOAD_ADDR.
+# Sustained-load demo with live telemetry: 4 closed-loop clients on a
+# 4-device farm replaying the PassMark 2D golden trace for 15s, with
+# /metrics, /healthz, /snapshot, and /events served on :9090 — scrape with
+# `cycadatop -connect http://127.0.0.1:9090` from another terminal while it
+# runs. Override with LOAD_N/LOAD_DUR/LOAD_ADDR.
 LOAD_N ?= 4
 LOAD_DUR ?= 15s
 LOAD_ADDR ?= 127.0.0.1:9090

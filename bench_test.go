@@ -6,11 +6,9 @@ package cycada
 // benches additionally measure the real Go-level cost of the mechanisms.
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"cycada/internal/core/diplomat"
 	"cycada/internal/core/system"
@@ -581,37 +579,6 @@ func BenchmarkReplayGolden(b *testing.B) {
 		if !res.VerifyOK() {
 			b.Fatal(res.VerifyError())
 		}
-	}
-}
-
-// BenchmarkReplayLoad drives the sustained-load generator at fixed
-// concurrency over the PassMark 2D golden trace: K worker loops each boot
-// their own stack and replay back-to-back for a fixed wall window,
-// recycling the compositor between sessions like farm slots. sessions/sec
-// is the delivered throughput, frame-p95-us/frame-p99-us the run's present
-// percentiles in virtual-time microseconds, and drops the presents
-// abandoned after retries — the series BENCH_10.json tracks and the
-// telemetry plane reports live via its rolling windows.
-func BenchmarkReplayLoad(b *testing.B) {
-	tr := loadGoldenTrace(b, "passmark-2d.cytr")
-	for _, k := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
-			var last *replay.LoadResult
-			for i := 0; i < b.N; i++ {
-				res, err := replay.Load(tr, replay.LoadConfig{
-					Concurrency: k,
-					Duration:    500 * time.Millisecond,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.PerSec, "sessions/sec")
-			b.ReportMetric(last.FrameP95.Micros(), "frame-p95-us")
-			b.ReportMetric(last.FrameP99.Micros(), "frame-p99-us")
-			b.ReportMetric(float64(last.Drops), "drops")
-		})
 	}
 }
 

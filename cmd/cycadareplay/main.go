@@ -1,4 +1,4 @@
-// Command cycadareplay records, replays, verifies, and benchmarks traces of
+// Command cycadareplay records, replays, verifies, and load-tests traces of
 // the cross-persona graphics command stream.
 //
 // Usage:
@@ -6,7 +6,6 @@
 //	cycadareplay record -scenario passmark-2d -o trace.cytr
 //	cycadareplay replay -i trace.cytr [-n 3] [-batch 64] [-faults seed=7,rate=0.05]
 //	cycadareplay verify [-batch 64] trace.cytr [more.cytr ...]
-//	cycadareplay bench -i trace.cytr -workers 8 [-n 64] [-batch 64]
 //	cycadareplay load -i trace.cytr -n 4 -dur 10s [-batch 64] [-listen :9090]
 //	cycadareplay stat -i trace.cytr [-top 15]
 //
@@ -16,34 +15,43 @@
 // Android stack with no iOS app code present. verify additionally checks
 // per-present screen checksums and the final frame against the recorded
 // values — the differential regression gate used on the golden traces in
-// internal/replay/testdata. bench replays independent copies across worker
-// goroutines and reports replays/sec. stat prints a per-call-kind histogram.
+// internal/replay/testdata. stat prints a per-call-kind histogram.
 //
-// With -batch N, replay/verify/bench drive GLES events through the batched
+// With -batch N, replay, verify and load drive GLES events through the batched
 // command encoder (runs of batchable calls cross the persona boundary in one
 // impersonation window of at most N calls) instead of one crossing per call.
 // The logical call stream — and therefore every differential check — is
 // identical either way; 0 (the default) keeps the serial path.
 //
-// load drives sustained replay sessions — N concurrent stacks replaying the
-// trace back-to-back for a wall-clock duration — and reports sustained
+// load drives sustained replay sessions on an N-device farm (internal/farm):
+// N closed-loop clients each submit a session replaying the trace and wait
+// for it, back-to-back for a wall-clock duration. It reports sustained
 // sessions/sec plus rolling-window frame percentiles and retry/drop rates.
-// With -listen (load, replay, and bench) an embedded telemetry server
-// exposes /metrics (Prometheus text), /snapshot and /healthz (JSON), and
-// /events (SSE incident stream) while the run executes.
+// Parallel replay throughput over a fixed session count is cycadafarm's job
+// (cycadafarm -devices W -sessions N -trace T).
+//
+// With -listen (load and replay) an embedded telemetry server exposes
+// /metrics (Prometheus text), /snapshot and /healthz (JSON), and /events
+// (SSE incident stream) while the run executes.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"cycada/internal/android/egl"
+	"cycada/internal/core/system"
+	"cycada/internal/farm"
 	"cycada/internal/fault"
 	"cycada/internal/harness"
 	"cycada/internal/obs"
 	"cycada/internal/obs/telemetry"
 	"cycada/internal/replay"
+	"cycada/internal/sim/vclock"
 )
 
 func main() {
@@ -59,8 +67,6 @@ func main() {
 		err = cmdReplay(os.Args[2:])
 	case "verify":
 		err = cmdVerify(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "load":
 		err = cmdLoad(os.Args[2:])
 	case "stat":
@@ -84,8 +90,7 @@ func usage() {
   cycadareplay record -scenario <name> -o <file>   capture a workload (scenarios: %v)
   cycadareplay replay -i <file> [-n N] [-batch B] [-faults S]  re-drive a trace N times (with S, chaos mode: seed=7,rate=0.05,points=binder+egl_present)
   cycadareplay verify [-batch B] <file> [file ...] replay with differential frame checks
-  cycadareplay bench -i <file> -workers N [-n M] [-batch B]  parallel replay throughput
-  cycadareplay load -i <file> [-n K] [-dur D] [-batch B] [-listen addr]  sustained K-way load with windowed stats
+  cycadareplay load -i <file> [-n K] [-dur D] [-batch B] [-listen addr]  sustained load on a K-device farm with windowed stats
   (-batch B: encode GLES runs into boundary batches of <= B calls; 0 = serial)
   (-listen addr: serve /metrics /snapshot /healthz /events during the run)
   cycadareplay stat -i <file> [-top N]             per-call-kind histogram
@@ -229,41 +234,9 @@ func cmdVerify(args []string) error {
 	return nil
 }
 
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	in := fs.String("i", "", "input trace file (required)")
-	workers := fs.Int("workers", 1, "parallel replay workers")
-	n := fs.Int("n", 32, "total replays")
-	batch := fs.Int("batch", 0, "batched-encoder cap per boundary crossing (0 = serial)")
-	listen := fs.String("listen", "", "serve telemetry on this address during the run")
-	fs.Parse(args)
-	if *in == "" {
-		return fmt.Errorf("bench: -i is required")
-	}
-	if *listen != "" {
-		srv, err := serveDefaultTelemetry(*listen)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-	}
-	tr, err := replay.ReadFile(*in)
-	if err != nil {
-		return err
-	}
-	res, err := replay.Bench(tr, *workers, *n, replay.Options{BatchCap: *batch})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("bench %q: %d replays, %d workers, %v wall, %.1f replays/sec\n",
-		tr.Label, res.Replays, res.Workers, res.Wall.Round(1000000), res.PerSec)
-	return nil
-}
-
 // serveDefaultTelemetry starts the exposition server over the process-wide
-// default registries (what replay/bench kernels record into) with a rotating
-// 1s window set. Used by the subcommands whose stacks attach to the default
-// registries; load wires its own run-scoped registries instead.
+// default registries (what replay kernels record into) with a rotating 1s
+// window set. load exports its farm's registries instead.
 func serveDefaultTelemetry(addr string) (*telemetry.Server, error) {
 	obs.DefaultHistograms.SetEnabled(true)
 	win := obs.NewWindows(time.Second, 60)
@@ -280,7 +253,7 @@ func serveDefaultTelemetry(addr string) (*telemetry.Server, error) {
 func cmdLoad(args []string) error {
 	fs := flag.NewFlagSet("load", flag.ExitOnError)
 	in := fs.String("i", "", "input trace file (required)")
-	n := fs.Int("n", 4, "concurrent session loops (stacks)")
+	n := fs.Int("n", 4, "farm devices, each driven by one closed-loop client")
 	dur := fs.Duration("dur", 10*time.Second, "wall-clock run length")
 	batch := fs.Int("batch", 0, "batched-encoder cap per boundary crossing (0 = serial)")
 	listen := fs.String("listen", "", "serve telemetry on this address during the run")
@@ -293,35 +266,27 @@ func cmdLoad(args []string) error {
 		return err
 	}
 
-	// One shared registry pair for the whole run, tracked by a rotating
-	// window set so /metrics (and the final report) carry current rolling
-	// percentiles and rates rather than since-boot aggregates.
-	hists := obs.NewHistograms()
-	ctrs := obs.NewCounters()
+	f := farm.New(farm.Config{Devices: *n})
+	defer f.Close()
+	// A rotating window set over the farm's registries, so /metrics (and the
+	// final report) carry current rolling percentiles and rates rather than
+	// since-boot aggregates.
 	win := obs.NewWindows(time.Second, 60)
-	win.Track(hists)
-	win.TrackCounters(ctrs)
-	win.Start()
-	defer win.Stop()
 	if *listen != "" {
 		srv, err := telemetry.Serve(*listen, telemetry.Options{Windows: win})
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
-		srv.AddHistograms("load", hists)
-		srv.AddCounters("load", ctrs)
-		srv.AddFlight("load", obs.DefaultFlight)
+		telemetry.AttachFarm(srv, f)
 		fmt.Printf("telemetry: listening on %s\n", srv.URL())
+	} else {
+		telemetry.TrackFarm(win, f)
 	}
+	win.Start()
+	defer win.Stop()
 
-	res, err := replay.Load(tr, replay.LoadConfig{
-		Concurrency: *n,
-		Duration:    *dur,
-		BatchCap:    *batch,
-		Hists:       hists,
-		Counters:    ctrs,
-	})
+	res, err := runLoad(f, tr, *dur, *batch)
 	if err != nil {
 		return err
 	}
@@ -339,16 +304,99 @@ func cmdLoad(args []string) error {
 	// the run ended (capture the final partial interval first).
 	win.Rotate()
 	for _, span := range []time.Duration{10 * time.Second, 60 * time.Second} {
-		if ws, ok := win.Hist("egl-present", span); ok && ws.Count > 0 {
+		if ws, ok := win.Hist(egl.PresentHistName, span); ok && ws.Count > 0 {
 			fmt.Printf("window %3.0fs: frames=%d rate=%.1f/sec p50=%.1fus p95=%.1fus p99=%.1fus\n",
 				span.Seconds(), ws.Count, ws.Rate(),
 				ws.P50().Micros(), ws.P95().Micros(), ws.P99().Micros())
 		}
-		if cw, ok := win.Counter(replay.LoadSessionsCtr, span); ok {
-			fmt.Printf("window %3.0fs: sessions=%d (%.1f/sec)\n", span.Seconds(), cw.Delta, cw.Rate())
+		if ws, ok := win.Hist(farm.SessionRanHist, span); ok {
+			fmt.Printf("window %3.0fs: sessions=%d (%.1f/sec)\n", span.Seconds(), ws.Count, ws.Rate())
 		}
 	}
 	return nil
+}
+
+// loadResult summarizes a sustained-load run. Frame statistics and
+// retry/drop totals are read from the farm devices' registries.
+type loadResult struct {
+	Workers  int
+	Wall     time.Duration
+	Sessions int64
+	PerSec   float64 // sustained sessions/sec across all clients
+
+	Frames   int64
+	FrameP50 vclock.Duration
+	FrameP95 vclock.Duration
+	FrameP99 vclock.Duration
+	FrameMax vclock.Duration
+
+	Retries int64 // transient presents retried
+	Drops   int64 // presents abandoned after retries
+}
+
+// runLoad drives sustained replay load on a freshly booted farm: one
+// closed-loop client per device submits a session replaying tr and waits
+// for its result, back-to-back, until dur elapses. The first failed session
+// aborts the run.
+func runLoad(f *farm.Farm, tr *replay.Trace, dur time.Duration, batch int) (*loadResult, error) {
+	spec := farm.SessionSpec{Body: func(sys *system.Cycada) error {
+		_, err := replay.Play(tr, replay.Options{BatchCap: batch, System: sys})
+		return err
+	}}
+	var (
+		sessions atomic.Int64
+		failed   atomic.Bool
+		runErr   error
+		wg       sync.WaitGroup
+	)
+	start := time.Now()
+	end := start.Add(dur)
+	for c := 0; c < f.Devices(); c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() && time.Now().Before(end) {
+				s, err := f.Submit(spec)
+				if err == nil {
+					err = s.Result().Err
+				}
+				if err != nil {
+					if failed.CompareAndSwap(false, true) {
+						runErr = fmt.Errorf("load client %d: %w", c, err)
+					}
+					return
+				}
+				sessions.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if runErr != nil {
+		return nil, runErr
+	}
+
+	wall := time.Since(start)
+	res := &loadResult{
+		Workers:  f.Devices(),
+		Wall:     wall,
+		Sessions: sessions.Load(),
+		PerSec:   float64(sessions.Load()) / wall.Seconds(),
+	}
+	hists := obs.NewHistograms()
+	for i := 0; i < f.Devices(); i++ {
+		d := f.Device(i)
+		hists.Merge(d.Hists)
+		res.Retries += d.Ctrs.Counter(egl.CtrPresentRetried).Load()
+		res.Drops += d.Ctrs.Counter(egl.CtrPresentDropped).Load()
+	}
+	if h, ok := hists.Lookup(egl.PresentHistName); ok {
+		res.Frames = h.Count()
+		res.FrameP50 = h.P50()
+		res.FrameP95 = h.P95()
+		res.FrameP99 = h.P99()
+		res.FrameMax = h.Max()
+	}
+	return res, nil
 }
 
 func cmdStat(args []string) error {

@@ -10,8 +10,6 @@ package stack
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 
 	"cycada/internal/android/egl"
 	agles "cycada/internal/android/gles"
@@ -38,9 +36,6 @@ type System struct {
 	Kernel  *kernel.Kernel
 	Gralloc *gralloc.Device
 	Flinger *sflinger.Flinger
-
-	mu    sync.Mutex
-	users []*Userspace
 }
 
 // Config describes the machine to boot.
@@ -132,42 +127,22 @@ func (s *System) NewUserspace(cfg UserConfig) (*Userspace, error) {
 	if _, _, err := eglLib.Initialize(main); err != nil {
 		return nil, fmt.Errorf("eglInitialize: %w", err)
 	}
-	if cfg.EGL.PipelinedPresents {
-		eglLib.EnablePipelinedPresents(proc)
-	}
-	u := &Userspace{Proc: proc, Linker: l, Bionic: bionic, EGL: eglLib}
-	s.mu.Lock()
-	s.users = append(s.users, u)
-	s.mu.Unlock()
-	return u, nil
+	return &Userspace{Proc: proc, Linker: l, Bionic: bionic, EGL: eglLib}, nil
 }
 
-// Release ends one userspace when its process exits: pipelined presents are
-// drained and the presenter thread exited, the stack forgets the userspace,
-// and the kernel drops the process. A session that boots its own app on a
-// long-lived stack must release it, or the stack keeps every app it ever
-// ran reachable. Release charges no virtual time.
+// Release ends one userspace when its process exits: the kernel drops the
+// process. A session that boots its own app on a long-lived stack must
+// release it, or the kernel keeps every app it ever ran reachable. Release
+// charges no virtual time.
 func (s *System) Release(u *Userspace) {
-	u.EGL.DisablePipelinedPresents()
-	s.mu.Lock()
-	s.users = slices.DeleteFunc(s.users, func(x *Userspace) bool { return x == u })
-	s.mu.Unlock()
 	s.Kernel.ExitProcess(u.Proc)
 }
 
-// Shutdown tears the stack down for decommissioning: every userspace's
-// present pipeline is drained and its presenter thread exited, and the
-// compositor drops its layers and clears the screen. The stack must be
-// quiescent — no session body or app thread still driving it — which is why
-// the farm only calls this on a cleanly-failed device, never on one whose
-// wedged session goroutine was abandoned (that stack is simply dropped).
-// Idempotent.
+// Shutdown tears the stack down for decommissioning: the compositor drops
+// its layers and clears the screen. The stack must be quiescent — no session
+// body or app thread still driving it — which is why the farm only calls
+// this on a cleanly-failed device, never on one whose wedged session
+// goroutine was abandoned (that stack is simply dropped). Idempotent.
 func (s *System) Shutdown() {
-	s.mu.Lock()
-	users := append([]*Userspace(nil), s.users...)
-	s.mu.Unlock()
-	for _, u := range users {
-		u.EGL.DisablePipelinedPresents()
-	}
 	s.Flinger.Reset()
 }

@@ -61,10 +61,9 @@ type Config struct {
 }
 
 // Close tears the stack down for decommissioning — the farm calls it before
-// booting a replacement device in a quarantined slot. It drains every app's
-// present pipeline (exiting presenter threads) and resets the compositor,
-// so the only thing keeping the old stack alive afterwards is whatever
-// still references it. The stack must be quiescent: Close is never called
+// booting a replacement device in a quarantined slot. It resets the
+// compositor, so the only thing keeping the old stack alive afterwards is
+// whatever still references it. The stack must be quiescent: Close is never called
 // on a stack whose wedged session goroutine was abandoned — that stack is
 // dropped without teardown, because the abandoned body still owns it.
 // Idempotent.
@@ -99,11 +98,6 @@ type AppConfig struct {
 	// bug "prevents JIT from working properly" (§9), so the default — false
 	// — denies them, which is what slows SunSpider down in Figure 5.
 	JITWorks bool
-	// PipelinedPresents routes this app's presents through a dedicated
-	// presenter thread (egl pipeline): frame N+1 encodes while frame N
-	// rasterizes and composes. Checksum-verifying harnesses (record/replay)
-	// leave it off — they read the screen synchronously after each present.
-	PipelinedPresents bool
 }
 
 // IOSApp is a running iOS app environment under Cycada: everything the app
@@ -177,7 +171,7 @@ func (c *Cycada) NewIOSApp(cfg AppConfig) (*IOSApp, error) {
 	us, err := c.Android.NewUserspace(stack.UserConfig{
 		Name:     cfg.Name,
 		Personas: []kernel.Persona{kernel.PersonaIOS, kernel.PersonaAndroid},
-		EGL:      egl.Config{MultiContext: true, PipelinedPresents: cfg.PipelinedPresents},
+		EGL:      egl.Config{MultiContext: true},
 	})
 	if err != nil {
 		return nil, err

@@ -29,8 +29,12 @@ func TestParseSpec(t *testing.T) {
 	if _, err := ParseSpec("points=warp_drive"); err == nil {
 		t.Fatal("unknown point accepted")
 	}
-	if _, err := ParseSpec("rate=1.5"); err == nil {
-		t.Fatal("rate > 1 accepted")
+	// NaN compares false against both bounds, so a range check written as
+	// `rate < 0 || rate > 1` let it through as a schedule that never fires.
+	for _, bad := range []string{"rate=1.5", "rate=-0.5", "rate=NaN", "rate=Inf", "rate=-Inf"} {
+		if s, err := ParseSpec(bad); err == nil {
+			t.Fatalf("ParseSpec(%q) = %+v, want an error", bad, s)
+		}
 	}
 	if _, err := ParseSpec("seed"); err == nil {
 		t.Fatal("bare key accepted")

@@ -11,26 +11,19 @@ import (
 // scheduler counters and wall-clock histograms, every device's frame-health
 // registries and flight recorder, per-device health gauges, and a /healthz
 // verdict that degrades when no device can run sessions. When the server has
-// a window set, every registry is tracked so the windowed series cover the
-// whole farm (same-named device series sum into one farm-wide window).
+// a window set, every registry is tracked in it (TrackFarm).
 func AttachFarm(srv *Server, f *farm.Farm) {
 	srv.AddCounters("farm", f.Counters())
 	srv.AddHistograms("farm", f.Histograms())
-	win := srv.Windows()
-	if win != nil {
-		win.TrackCounters(f.Counters())
-		win.Track(f.Histograms())
-	}
 	for i := 0; i < f.Devices(); i++ {
 		d := f.Device(i)
 		reg := fmt.Sprintf("dev%d", d.ID)
 		srv.AddHistograms(reg, d.Hists)
 		srv.AddCounters(reg, d.Ctrs)
 		srv.AddFlight(reg, d.Flight)
-		if win != nil {
-			win.Track(d.Hists)
-			win.TrackCounters(d.Ctrs)
-		}
+	}
+	if win := srv.Windows(); win != nil {
+		TrackFarm(win, f)
 	}
 	srv.AddGauges(func() []Gauge { return farmGauges(f) })
 	srv.SetHealth(func() (bool, any) {
@@ -43,6 +36,19 @@ func AttachFarm(srv *Server, f *farm.Farm) {
 		}
 		return healthy > 0, st
 	})
+}
+
+// TrackFarm tracks every registry of the farm in win: its scheduler
+// counters and wall-clock histograms and each device's frame-health
+// registries. Same-named device series sum into one farm-wide window.
+func TrackFarm(win *obs.Windows, f *farm.Farm) {
+	win.TrackCounters(f.Counters())
+	win.Track(f.Histograms())
+	for i := 0; i < f.Devices(); i++ {
+		d := f.Device(i)
+		win.Track(d.Hists)
+		win.TrackCounters(d.Ctrs)
+	}
 }
 
 // farmGauges renders one scrape's worth of farm health gauges.

@@ -348,11 +348,30 @@ func Decode(data []byte) (*Trace, error) {
 	return tr, nil
 }
 
-// inflate decompresses a trace body of at most limit bytes.
+// inflate decompresses a trace body of at most limit bytes. The buffer
+// doubles whenever it fills (io.ReadAll grows by about 1.25x, which
+// allocates several times the body) and never grows past limit+1 bytes:
+// one byte over the limit is enough to reject the body.
 func inflate(compressed []byte, limit int64) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(compressed)), limit+1))
-	if err != nil {
-		return nil, fmt.Errorf("replay: decompress: %w", err)
+	zr := flate.NewReader(bytes.NewReader(compressed))
+	body := make([]byte, 0, min(512, limit+1))
+	for {
+		if len(body) == cap(body) {
+			if int64(len(body)) > limit {
+				break
+			}
+			grown := make([]byte, len(body), min(2*int64(cap(body)), limit+1))
+			copy(grown, body)
+			body = grown
+		}
+		n, err := zr.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("replay: decompress: %w", err)
+		}
 	}
 	if int64(len(body)) > limit {
 		return nil, fmt.Errorf("replay: decompress: body exceeds %d bytes", limit)

@@ -12,10 +12,7 @@
 # (BenchmarkReplayBatch, batching off and caps 1/16/64/256 over the
 # draw-call-heavy passmark-3d trace) records the persona-boundary crossing
 # count alongside timing: the crossings column is the batched encoder's
-# figure of merit and must fall as the cap rises. The load series
-# (BenchmarkReplayLoad at concurrency 1/4/16) records sustained sessions/sec,
-# frame P95/P99 in virtual-time µs, and dropped presents — the same numbers
-# the telemetry plane's rolling windows report live.
+# figure of merit and must fall as the cap rises.
 #
 # After writing the file, the series is diffed against the most recent
 # previous BENCH_*.json via scripts/benchdiff at a ±15% threshold; the
@@ -33,13 +30,12 @@ replay=$(go test -run='^$' -bench='^BenchmarkReplay(Parallel)?$' -benchtime=1x -
 batch=$(go test -run='^$' -bench='^BenchmarkReplayBatch$' -benchtime=3x -benchmem .)
 farm=$(go test -run='^$' -bench='^BenchmarkFarm$' -benchtime=1x -benchmem ./internal/farm)
 resil=$(go test -run='^$' -bench='^BenchmarkFarmResilience$' -benchtime=2x -benchmem ./internal/farm)
-load=$(go test -run='^$' -bench='^BenchmarkReplayLoad$' -benchtime=1x -benchmem .)
 
-all=$(printf '%s\n%s\n%s\n%s\n%s\n%s\n' "$raster" "$replay" "$batch" "$farm" "$resil" "$load")
+all=$(printf '%s\n%s\n%s\n%s\n%s\n' "$raster" "$replay" "$batch" "$farm" "$resil")
 
 # Fail loudly when an invoked benchmark produced no rows — a renamed or
 # deleted benchmark must break this script, not silently thin the series.
-for want in BenchmarkRasterTiles BenchmarkReplay BenchmarkReplayParallel BenchmarkReplayBatch BenchmarkFarm BenchmarkFarmResilience BenchmarkReplayLoad; do
+for want in BenchmarkRasterTiles BenchmarkReplay BenchmarkReplayParallel BenchmarkReplayBatch BenchmarkFarm BenchmarkFarmResilience; do
 	if ! printf '%s\n' "$all" | grep -Eq "^${want}([/-]|[[:space:]]|\$)"; then
 		echo "benchjson: no output rows for ${want} — was it renamed or removed?" >&2
 		exit 1
@@ -65,8 +61,6 @@ $1 ~ /^Benchmark/ && $NF == "allocs/op" {
 		else if ($(i + 1) == "allocs/op") allocs = $i
 		else if ($(i + 1) == "sessions/sec") extra = extra sprintf(", \"sessions_per_sec\": %s", $i)
 		else if ($(i + 1) == "frame-p95-us") extra = extra sprintf(", \"frame_p95_us\": %s", $i)
-		else if ($(i + 1) == "frame-p99-us") extra = extra sprintf(", \"frame_p99_us\": %s", $i)
-		else if ($(i + 1) == "drops") extra = extra sprintf(", \"drops\": %s", $i)
 		else if ($(i + 1) == "crossings") extra = extra sprintf(", \"crossings\": %s", $i)
 		else if ($(i + 1) == "batched-calls") extra = extra sprintf(", \"batched_calls\": %s", $i)
 	}

@@ -64,6 +64,16 @@ echo "== fuzz smoke (CYTR: arbitrary trace files through decode and an encode/de
 # survive encode -> decode -> encode unchanged.
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=10s -fuzzminimizetime=100x ./internal/replay
 
+echo "== fuzz smoke (fault specs: arbitrary -faults text through ParseSpec and a String round trip)"
+# Fault specs come from the command line: ParseSpec must return an error,
+# never panic, and every schedule it accepts must parse back from String.
+go test -run='^$' -fuzz='^FuzzParseSpec$' -fuzztime=10s -fuzzminimizetime=100x ./internal/fault
+
+echo "== fuzz smoke (Prometheus text: arbitrary documents through ParseText)"
+# cycadatop -connect parses remote /metrics: malformed text must come back
+# as an error, never a panic.
+go test -run='^$' -fuzz='^FuzzParseText$' -fuzztime=10s -fuzzminimizetime=100x ./internal/obs/telemetry
+
 echo "== bench smoke (diplomat hot path)"
 go test -run='^$' -bench='BenchmarkDiplomatCall' -benchtime=100x .
 
@@ -94,10 +104,10 @@ if [ "$obs_gate_ok" != 1 ]; then
 fi
 
 echo "== telemetry smoke (load generator with -listen: /metrics, /healthz, /snapshot)"
-# Boot the sustained-load generator with an embedded telemetry server on an
-# ephemeral port, scrape /metrics while it runs and validate the exposition
-# with the Prometheus-text parser, then pipe the JSON endpoints through
-# jsoncheck. The load must outlive the scrapes, hence the generous -dur.
+# Boot the sustained-load generator (closed-loop clients on a 2-device farm)
+# with an embedded telemetry server on an ephemeral port, scrape /metrics
+# while it runs and validate the exposition with the Prometheus-text parser,
+# then pipe the JSON endpoints through jsoncheck. The load must outlive the scrapes, hence the generous -dur.
 tmplog=$(mktemp)
 go run ./cmd/cycadareplay load -i internal/replay/testdata/passmark-2d.cytr \
 	-n 2 -dur 12s -listen 127.0.0.1:0 >"$tmplog" 2>&1 &
